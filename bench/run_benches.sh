@@ -107,20 +107,15 @@ required = {
         "guided_bit_identical",
         "poi_stage_speedup",
         "speedup_vs_seed_loop",
-        # ISSUE 8: cache-contention sweep + hardware-counter keys. The
-        # sweep's t1/t2 legs exist on every host (hw-thread legs are
-        # extra); counters may report unavailable but the keys must be
-        # emitted.
+        # Thread-sweep + hardware-counter keys. The sweep's t1/t2 legs
+        # exist on every host (hw-thread legs are extra); counters may
+        # report unavailable but the keys must be emitted.
         "cache_sweep_bit_identical",
         "hw_counters_available",
         "engine_1t_ipc",
         "engine_1t_llc_miss_per_ngram",
-        "sweep_t1_shared_users_per_sec",
-        "sweep_t1_sharded_users_per_sec",
-        "sweep_t1_replica_users_per_sec",
-        "sweep_t2_shared_users_per_sec",
-        "sweep_t2_sharded_users_per_sec",
-        "sweep_t2_replica_users_per_sec",
+        "sweep_t1_users_per_sec",
+        "sweep_t2_users_per_sec",
     ],
     "BENCH_stream.json": ["bit_identical", "best_stream_users_per_sec"],
     # ISSUE 9: streaming analytics must carry the sharded-equals-batch

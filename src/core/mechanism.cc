@@ -58,11 +58,7 @@ StatusOr<NGramMechanism> NGramMechanism::Build(const model::PoiDatabase* db,
   mech.poi_reconstructor_ = std::make_unique<PoiReconstructor>(
       mech.decomp_.get(), mech.reachability_.get(),
       mech.reachability_table_.get(), config.poi);
-  if (config.use_lp_reconstruction) {
-    mech.reconstructor_ = std::make_unique<LpReconstructor>();
-  } else {
-    mech.reconstructor_ = std::make_unique<ViterbiReconstructor>();
-  }
+  mech.reconstructor_ = std::make_unique<ViterbiReconstructor>();
   mech.preprocessing_seconds_ = preprocessing.ElapsedSeconds();
   return mech;
 }

@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "common/status_or.h"
 #include "core/collector_pipeline.h"
-#include "core/lp_reconstructor.h"
 #include "core/ngram_domain.h"
 #include "core/ngram_perturber.h"
 #include "core/poi_reconstructor.h"
@@ -43,8 +42,6 @@ struct NGramConfig {
   /// O(P²) preprocessing + 2·P² bytes — docs/POI_SAMPLING.md has the
   /// full cost formula).
   bool precompute_poi_reachability = false;
-  /// Solve the reconstruction via the paper's LP instead of the exact DP.
-  bool use_lp_reconstruction = false;
   /// Optional padding of the R_mbr candidate rectangle, in km.
   double mbr_expand_km = 0.0;
   /// EM quality sensitivity Δd_w. 0 (default) = the strict value

@@ -47,21 +47,12 @@ void NgramDomain::ComputeSuffixRow(const std::vector<double>& weight_row,
 }
 
 NgramDomain::Stripe& NgramDomain::StripeFor(const RowKey& key) const {
-  if (cache_mode_.load(std::memory_order_relaxed) == CacheMode::kShared) {
-    return stripes_[0];  // legacy single-lock layout, exact global LRU
-  }
-  // Spread with the high bits of the key hash so the stripe index is
-  // decorrelated from the map's bucket index (which uses the low bits).
-  const size_t h = RowKeyHash{}(key);
-  return stripes_[(h >> 48) & (kCacheStripes - 1)];
+  return stripes_[cache_internal::StripeIndex(key, kCacheStripes)];
 }
 
 size_t NgramDomain::StripeCapacity() const {
   const size_t capacity = cache_capacity_.load(std::memory_order_relaxed);
   if (capacity == 0) return 0;  // unbounded
-  if (cache_mode_.load(std::memory_order_relaxed) == CacheMode::kShared) {
-    return capacity;  // one stripe holds everything: the cap is exact
-  }
   // Even split; at least one row per stripe so a tiny cap cannot turn a
   // stripe into a compute-every-time stripe.
   return std::max<size_t>(1, capacity / kCacheStripes);
@@ -152,13 +143,6 @@ NgramDomain::RowPtr NgramDomain::CachedSuffixRow(RegionId r,
       });
 }
 
-void NgramDomain::set_cache_mode(CacheMode mode) const {
-  if (cache_mode_.exchange(mode, std::memory_order_relaxed) == mode) return;
-  // A mode switch reshuffles which stripe owns which key; drop everything
-  // so no stale stripe pins memory it will never serve from again.
-  ClearCache();
-}
-
 void NgramDomain::set_cache_capacity(size_t max_rows) {
   cache_capacity_.store(max_rows, std::memory_order_relaxed);
   // Shrinking must free memory now, not on the next insert.
@@ -180,8 +164,6 @@ void NgramDomain::ClearCache() const {
     stripe.weight_rows.store(0, std::memory_order_relaxed);
     stripe.suffix_rows.store(0, std::memory_order_relaxed);
   }
-  // Per-thread replicas clear themselves at their next draw.
-  clear_generation_.fetch_add(1, std::memory_order_release);
 }
 
 NgramDomain::CacheStats NgramDomain::cache_stats() const {
@@ -203,73 +185,6 @@ NgramDomain::CacheStats NgramDomain::cache_stats() const {
   return stats;
 }
 
-void NgramDomain::SyncReplica(ThreadCacheReplica& rep) const {
-  const uint64_t gen = clear_generation_.load(std::memory_order_acquire);
-  if (rep.clear_generation_ != gen) {
-    rep.weight_.clear();
-    rep.suffix_.clear();
-    rep.clear_generation_ = gen;
-  }
-}
-
-void NgramDomain::EvictReplicaOverCapacity(ThreadCacheReplica::Map& map,
-                                           size_t capacity,
-                                           size_t& evictions) {
-  if (capacity == 0) return;
-  while (map.size() > capacity) {
-    auto victim = map.begin();
-    for (auto it = std::next(map.begin()); it != map.end(); ++it) {
-      if (it->second.last_used < victim->second.last_used) victim = it;
-    }
-    map.erase(victim);  // pinned borrowers keep the row alive
-    ++evictions;
-  }
-}
-
-NgramDomain::RowPtr NgramDomain::ReplicaWeightRow(ThreadCacheReplica& rep,
-                                                  RegionId r,
-                                                  double scale) const {
-  const RowKey key{r, std::bit_cast<uint64_t>(scale)};
-  const uint64_t tick = ++rep.tick_;
-  if (const auto it = rep.weight_.find(key); it != rep.weight_.end()) {
-    ++rep.stats_.weight_hits;
-    it->second.last_used = tick;
-    return it->second.row;
-  }
-  auto computed = std::make_shared<std::vector<double>>();
-  ComputeWeightRow(r, scale, *computed);
-  RowPtr row = computed;
-  rep.weight_.emplace(
-      key, ThreadCacheReplica::Entry{std::move(computed), tick});
-  ++rep.stats_.weight_misses;
-  EvictReplicaOverCapacity(rep.weight_,
-                           cache_capacity_.load(std::memory_order_relaxed),
-                           rep.stats_.weight_evictions);
-  return row;
-}
-
-NgramDomain::RowPtr NgramDomain::ReplicaSuffixRow(ThreadCacheReplica& rep,
-                                                  RegionId r,
-                                                  double scale) const {
-  const RowKey key{r, std::bit_cast<uint64_t>(scale)};
-  const uint64_t tick = ++rep.tick_;
-  if (const auto it = rep.suffix_.find(key); it != rep.suffix_.end()) {
-    ++rep.stats_.suffix_hits;
-    it->second.last_used = tick;
-    return it->second.row;
-  }
-  auto computed = std::make_shared<std::vector<double>>();
-  ComputeSuffixRow(*ReplicaWeightRow(rep, r, scale), *computed);
-  RowPtr row = computed;
-  rep.suffix_.emplace(
-      key, ThreadCacheReplica::Entry{std::move(computed), tick});
-  ++rep.stats_.suffix_misses;
-  EvictReplicaOverCapacity(rep.suffix_,
-                           cache_capacity_.load(std::memory_order_relaxed),
-                           rep.stats_.suffix_evictions);
-  return row;
-}
-
 Status NgramDomain::SampleInto(std::span<const RegionId> input,
                                double epsilon, Rng& rng, SamplerWorkspace& ws,
                                std::vector<RegionId>& out) const {
@@ -287,42 +202,25 @@ Status NgramDomain::SampleInto(std::span<const RegionId> input,
 
   // Per-slot EM weights: weight_k[r] = exp(−ε′ · d(x_k, r) / (2Δd_w)),
   // with Δd_w = n·Δd the n-gram sensitivity — exactly eq. 6 in factored
-  // form. Rows come from the cache in effect (shared stripe, sharded
-  // stripes, or the thread's replica) or the workspace when caching is
-  // off; the arithmetic is identical in every arrangement, so mode and
-  // enablement change throughput only, never draws.
+  // form. Rows come from the striped cache, or from the workspace when
+  // caching is off; the arithmetic is identical either way, so the cache
+  // changes throughput only, never draws.
   const double scale = epsilon / (2.0 * Sensitivity(static_cast<int>(n)));
   ws.rows.resize(n);
   std::span<const double> suffix;
   ws.pins.clear();
   if (cache_enabled_) {
     // Pins hold shared ownership until the draw completes, so an LRU
-    // eviction — by another thread on a shared stripe, or by this very
-    // draw's later lookups on a capacity-capped replica — can never
-    // free a row mid-sample.
+    // eviction — by another thread, or by this very draw's later lookups
+    // under a capacity cap — can never free a row mid-sample.
     ws.pins.reserve(n + 1);
-    if (cache_mode_.load(std::memory_order_relaxed) ==
-        CacheMode::kPerThread) {
-      if (!ws.replica) ws.replica = std::make_unique<ThreadCacheReplica>();
-      ThreadCacheReplica& rep = *ws.replica;
-      SyncReplica(rep);
-      for (size_t k = 0; k < n; ++k) {
-        ws.pins.push_back(ReplicaWeightRow(rep, input[k], scale));
-        ws.rows[k] = ws.pins.back()->data();
-      }
-      if (n >= 2) {
-        ws.pins.push_back(ReplicaSuffixRow(rep, input[n - 1], scale));
-        suffix = *ws.pins.back();
-      }
-    } else {
-      for (size_t k = 0; k < n; ++k) {
-        ws.pins.push_back(CachedWeightRow(input[k], scale));
-        ws.rows[k] = ws.pins.back()->data();
-      }
-      if (n >= 2) {
-        ws.pins.push_back(CachedSuffixRow(input[n - 1], scale));
-        suffix = *ws.pins.back();
-      }
+    for (size_t k = 0; k < n; ++k) {
+      ws.pins.push_back(CachedWeightRow(input[k], scale));
+      ws.rows[k] = ws.pins.back()->data();
+    }
+    if (n >= 2) {
+      ws.pins.push_back(CachedSuffixRow(input[n - 1], scale));
+      suffix = *ws.pins.back();
     }
   } else {
     if (ws.scratch.size() < n + 1) ws.scratch.resize(n + 1);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "lp/dense_matrix.h"
@@ -99,6 +100,17 @@ Status SimplexSolver::Solve(const LpProblem& problem, SimplexWorkspace& ws,
   size_t num_slack = 0;
   for (const auto& con : problem.constraints) {
     if (con.relation != LpProblem::Relation::kEq) ++num_slack;
+  }
+  // Refuse an oversized tableau before allocating it. n and m are each
+  // checked against the cap first, so the column sum cannot overflow and
+  // the product is tested by division.
+  constexpr size_t kCap = kMaxTableauCells;
+  if (n >= kCap || m >= kCap ||
+      n + num_slack + m + 1 > kCap / (m + 1)) {
+    return Status::ResourceExhausted(
+        "simplex tableau for " + std::to_string(n) + " variables and " +
+        std::to_string(m) + " constraints exceeds " + std::to_string(kCap) +
+        " cells");
   }
   // One artificial per row keeps the construction simple; unnecessary ones
   // (rows where a slack can serve as the initial basis) are skipped below.

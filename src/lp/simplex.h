@@ -41,6 +41,12 @@ class SimplexSolver {
     double tolerance = 1e-9;
   };
 
+  /// Largest dense tableau Solve will allocate, in cells ((m + 1) ×
+  /// (columns + 1) doubles): 2^26 cells, 512 MiB. The reconstruction
+  /// ablation's instances stay near 2^23; a city-sized candidate set
+  /// (~1600 regions) would ask for tens of GiB.
+  static constexpr size_t kMaxTableauCells = size_t{1} << 26;
+
   SimplexSolver() : options_() {}
   explicit SimplexSolver(Options options) : options_(options) {}
 
@@ -48,7 +54,8 @@ class SimplexSolver {
   ///  * InvalidArgument   — malformed problem,
   ///  * FailedPrecondition — infeasible,
   ///  * OutOfRange        — unbounded,
-  ///  * ResourceExhausted — iteration cap hit.
+  ///  * ResourceExhausted — iteration cap hit, or the dense tableau
+  ///    would exceed kMaxTableauCells (checked before allocating).
   StatusOr<LpSolution> Solve(const LpProblem& problem) const;
 
   /// Workspace variant: all tableau scratch lives in `ws` and the result

@@ -118,7 +118,14 @@ StatusOr<Socket> AcceptNonBlocking(const Socket& listener,
   for (;;) {
     const int fd =
         ::accept4(listener.fd(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd >= 0) return Socket(fd);
+    if (fd >= 0) {
+      // Acks and responses are small writes that must leave at once:
+      // under Nagle's algorithm a second ack waits for the peer's next
+      // segment to acknowledge the first.
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      return Socket(fd);
+    }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       *would_block = true;
       return Socket();

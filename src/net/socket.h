@@ -86,7 +86,8 @@ StatusOr<Socket> Accept(const Socket& listener);
 /// Accept: transient per-connection aborts are retried inline,
 /// fd/memory pressure is ResourceExhausted (the reactor backs off and
 /// re-arms instead of spinning hot), anything else FailedPrecondition.
-/// The accepted socket is created non-blocking (accept4).
+/// The accepted socket is created non-blocking (accept4), with
+/// TCP_NODELAY set so small replies such as acks are never held back.
 StatusOr<Socket> AcceptNonBlocking(const Socket& listener, bool* would_block);
 
 /// Puts `fd` in non-blocking mode (O_NONBLOCK via fcntl).

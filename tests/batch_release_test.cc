@@ -368,10 +368,11 @@ TEST_F(E2eBatchFixture, GuidedPolicyMatchesGuidedSequentialEveryThreadCount) {
   }
 }
 
-TEST_F(E2eBatchFixture, CacheModeMatrixIsBitIdenticalAtEveryThreadCount) {
-  // ISSUE 8 acceptance: {shared, sharded, per-thread-replica} × {1,2,8}
-  // threads × {rejection, guided} all equal the sequential reference —
-  // the cache arrangement may change contention and memory, never draws.
+TEST_F(E2eBatchFixture, ColdAndWarmCacheAreBitIdenticalAtEveryThreadCount) {
+  // {cold, warm} domain cache × {1,2,8} threads × {rejection, guided}
+  // all equal the sequential reference — the cache may change speed,
+  // never draws. A cold cache makes the workers race to compute and
+  // insert the same rows.
   const uint64_t seed = 20260808;
   const auto users = MakeUsers(24, 21);
 
@@ -387,27 +388,21 @@ TEST_F(E2eBatchFixture, CacheModeMatrixIsBitIdenticalAtEveryThreadCount) {
           pipeline.ReleaseInto(users[i], user_rng, ws, expected[i]).ok());
     }
 
-    for (const NgramDomain::CacheMode mode :
-         {NgramDomain::CacheMode::kShared, NgramDomain::CacheMode::kSharded,
-          NgramDomain::CacheMode::kPerThread}) {
+    for (const bool cold : {true, false}) {
       for (const size_t threads : {1u, 2u, 8u}) {
+        if (cold) mech_->domain().ClearCache();
         BatchReleaseEngine::Config config;
         config.num_threads = threads;
         config.poi_policy = policy;
-        config.cache_mode = mode;
         BatchReleaseEngine engine(mech_.get(), config);
         auto batched = engine.ReleaseAllFull(users, seed);
         ASSERT_TRUE(batched.ok())
-            << "mode " << static_cast<int>(mode) << " threads " << threads
-            << ": " << batched.status();
+            << (cold ? "cold" : "warm") << " threads " << threads << ": "
+            << batched.status();
         ExpectIdenticalReleases(*batched, expected);
       }
     }
   }
-  // Leave the shared mechanism's domain in its default mode for the
-  // tests that run after this one.
-  mech_->perturber().domain().set_cache_mode(
-      NgramDomain::CacheMode::kSharded);
 }
 
 TEST_F(E2eBatchFixture, ReachabilityTableNeverChangesRejectionOutput) {
@@ -492,56 +487,6 @@ TEST_F(BatchReleaseFixture, ReleaseAllFullRequiresMechanism) {
   auto result = engine.ReleaseAllFull(MakeUsers(2, 3), 0);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(LpBatchE2eTest, LpMechanismBatchMatchesSequential) {
-  // The LP validation solver must batch deterministically too — its
-  // workspace (bigram list, LP, simplex tableau) is the scratch most
-  // likely to leak state between users.
-  auto db = MakeGridWorld();
-  ASSERT_TRUE(db.ok());
-  const auto time = *model::TimeDomain::Create(10);
-  NGramConfig config;
-  config.n = 2;
-  config.epsilon = 5.0;
-  config.decomposition.grid_size = 2;
-  config.decomposition.coarse_grids = {1};
-  config.decomposition.base_interval_minutes = 360;
-  config.decomposition.merge.kappa = 1;
-  config.reachability.speed_kmh = 8.0;
-  config.reachability.reference_gap_minutes = 60;
-  config.use_lp_reconstruction = true;
-  auto mech = NGramMechanism::Build(&*db, time, config);
-  ASSERT_TRUE(mech.ok()) << mech.status();
-
-  const auto num_regions =
-      static_cast<uint64_t>(mech->decomposition().num_regions());
-  Rng users_rng(23);
-  std::vector<region::RegionTrajectory> users(8);
-  for (auto& tau : users) {
-    const size_t len = 2 + static_cast<size_t>(users_rng.UniformUint64(2));
-    for (size_t i = 0; i < len; ++i) {
-      tau.push_back(
-          static_cast<region::RegionId>(users_rng.UniformUint64(num_regions)));
-    }
-  }
-
-  const uint64_t seed = 99;
-  std::vector<FullRelease> expected;
-  const Rng root(seed);
-  for (size_t i = 0; i < users.size(); ++i) {
-    Rng user_rng = root.Substream(i);
-    auto release = mech->ReleaseFromRegions(users[i], user_rng);
-    ASSERT_TRUE(release.ok()) << "user " << i << ": " << release.status();
-    expected.push_back(std::move(*release));
-  }
-
-  for (const size_t threads : {1u, 4u}) {
-    BatchReleaseEngine engine(&*mech, BatchReleaseEngine::Config{threads});
-    auto batched = engine.ReleaseAllFull(users, seed);
-    ASSERT_TRUE(batched.ok()) << "threads " << threads;
-    ExpectIdenticalReleases(*batched, expected);
-  }
 }
 
 }  // namespace

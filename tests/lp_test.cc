@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 
 #include "lp/dense_matrix.h"
 #include "lp/lp_problem.h"
@@ -209,6 +210,26 @@ TEST(SimplexTest, ReportsIterationCap) {
   auto solution = solver.Solve(lp);
   EXPECT_FALSE(solution.ok());
   EXPECT_EQ(solution.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(SimplexTest, RefusesOversizedTableauBeforeAllocating) {
+  // 9000 one-term equality rows over one variable: a (9001 × 9002)-cell
+  // tableau, over kMaxTableauCells, though the problem itself is tiny.
+  LpProblem lp;
+  lp.num_vars = 1;
+  lp.objective = {1.0};
+  for (int i = 0; i < 9000; ++i) {
+    lp.AddConstraint({{0, 1.0}}, LpProblem::Relation::kEq, 1.0);
+  }
+  ASSERT_GT(size_t{9001} * 9002, SimplexSolver::kMaxTableauCells);
+
+  SimplexSolver solver;
+  SimplexWorkspace ws;
+  LpSolution solution;
+  const Status status = solver.Solve(lp, ws, solution);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
+  EXPECT_EQ(ws.tableau.rows(), 0u);
+  EXPECT_EQ(ws.tableau.cols(), 0u);
 }
 
 }  // namespace

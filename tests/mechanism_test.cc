@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "core/lp_reconstructor.h"
 #include "core/mechanism.h"
 #include "model/semantic_distance.h"
 #include "test_world.h"
@@ -37,6 +41,22 @@ class MechanismFixture : public ::testing::Test {
 
   model::Trajectory SampleInput() const {
     return MakeTrajectory({{0, 54}, {7, 60}, {14, 72}, {21, 84}});
+  }
+
+  // Perturbs a 3-point trajectory and reconstructs its regions through
+  // the mechanism's pipeline, which leaves the problem it solved in
+  // `ws.problem`.
+  static void ReconstructThroughPipeline(const NGramMechanism& mech,
+                                         uint64_t seed, PipelineWorkspace& ws,
+                                         region::RegionTrajectory& out) {
+    auto tau = mech.decomposition().ToRegionTrajectory(
+        MakeTrajectory({{0, 54}, {7, 60}, {14, 72}}));
+    ASSERT_TRUE(tau.ok());
+    const CollectorPipeline pipe = mech.pipeline();
+    PerturbedNgramSet z;
+    Rng rng(seed);
+    ASSERT_TRUE(pipe.PerturbInto(*tau, rng, ws.sampler, z).ok());
+    ASSERT_TRUE(pipe.ReconstructRegionsInto(tau->size(), z, ws, out).ok());
   }
 
   std::unique_ptr<model::PoiDatabase> db_;
@@ -111,49 +131,49 @@ TEST_F(MechanismFixture, WorksForAllNgramLengths) {
   }
 }
 
+// The LP reconstructor is the validation oracle, not a mechanism
+// option: these tests hand it the exact problem the mechanism's
+// pipeline builds and solves (left in the pipeline workspace).
 TEST_F(MechanismFixture, LpReconstructionModeWorksEndToEnd) {
-  NGramConfig config = DefaultConfig();
-  config.use_lp_reconstruction = true;
-  auto mech = NGramMechanism::Build(db_.get(), time_, config);
+  auto mech = NGramMechanism::Build(db_.get(), time_, DefaultConfig());
   ASSERT_TRUE(mech.ok());
-  const auto input = MakeTrajectory({{0, 54}, {7, 60}, {14, 72}});
-  Rng rng(31);
-  auto output = mech->Perturb(input, rng);
-  ASSERT_TRUE(output.ok()) << output.status();
-  EXPECT_EQ(output->size(), input.size());
-  EXPECT_TRUE(output->Validate(time_).ok());
+  PipelineWorkspace ws;
+  region::RegionTrajectory dp_regions;
+  ReconstructThroughPipeline(*mech, 31, ws, dp_regions);
+
+  auto regions = LpReconstructor().Reconstruct(ws.problem);
+  ASSERT_TRUE(regions.ok()) << regions.status();
+  ASSERT_EQ(regions->size(), 3u);
+  for (size_t i = 0; i + 1 < regions->size(); ++i) {
+    EXPECT_TRUE(mech->graph().HasEdge((*regions)[i], (*regions)[i + 1]));
+  }
 }
 
 TEST_F(MechanismFixture, LpAndDpAgreeOnReconstructionObjective) {
-  // With identical seeds the perturbed n-grams are identical, so the two
-  // reconstructors solve the same problem; their outputs must score the
-  // same region-level objective (they may differ on exact ties).
-  NGramConfig dp_config = DefaultConfig();
-  NGramConfig lp_config = DefaultConfig();
-  lp_config.use_lp_reconstruction = true;
-  auto dp = NGramMechanism::Build(db_.get(), time_, dp_config);
-  auto lp = NGramMechanism::Build(db_.get(), time_, lp_config);
-  ASSERT_TRUE(dp.ok());
-  ASSERT_TRUE(lp.ok());
+  // Viterbi (the mechanism's solver) and the paper's LP may differ on
+  // exact ties, but must score the same region-level objective.
+  auto mech = NGramMechanism::Build(db_.get(), time_, DefaultConfig());
+  ASSERT_TRUE(mech.ok());
+  PipelineWorkspace ws;
+  region::RegionTrajectory dp_regions;
+  ReconstructThroughPipeline(*mech, 37, ws, dp_regions);
+  const ReconstructionProblem& problem = ws.problem;
+  auto lp_regions = LpReconstructor().Reconstruct(problem);
+  ASSERT_TRUE(lp_regions.ok()) << lp_regions.status();
+  ASSERT_EQ(dp_regions.size(), lp_regions->size());
 
-  auto tau = dp->decomposition().ToRegionTrajectory(
-      MakeTrajectory({{0, 54}, {7, 60}, {14, 72}}));
-  ASSERT_TRUE(tau.ok());
-
-  Rng rng1(37), rng2(37);
-  auto dp_regions = dp->PerturbRegions(*tau, rng1);
-  auto lp_regions = lp->PerturbRegions(*tau, rng2);
-  ASSERT_TRUE(dp_regions.ok());
-  ASSERT_TRUE(lp_regions.ok());
-
-  // Compare total distance to the (identical) perturbed evidence by
-  // recomputing through a shared distance: both must visit regions the
-  // graph connects and have the same length.
-  ASSERT_EQ(dp_regions->size(), lp_regions->size());
-  for (size_t i = 0; i + 1 < dp_regions->size(); ++i) {
-    EXPECT_TRUE(dp->graph().HasEdge((*dp_regions)[i], (*dp_regions)[i + 1]));
-    EXPECT_TRUE(lp->graph().HasEdge((*lp_regions)[i], (*lp_regions)[i + 1]));
-  }
+  auto objective_of = [&](const region::RegionTrajectory& regions) {
+    const auto& cands = problem.candidates();
+    std::vector<size_t> assignment(regions.size());
+    for (size_t i = 0; i < regions.size(); ++i) {
+      assignment[i] = static_cast<size_t>(
+          std::lower_bound(cands.begin(), cands.end(), regions[i]) -
+          cands.begin());
+    }
+    return problem.Objective(assignment);
+  };
+  const double dp_obj = objective_of(dp_regions);
+  EXPECT_NEAR(dp_obj, objective_of(*lp_regions), 1e-6 * (1.0 + dp_obj));
 }
 
 TEST_F(MechanismFixture, RegionLevelPipelineRespectsGraph) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -570,6 +574,31 @@ TEST_F(NetFixture, ClientReconnectsAcrossServerRestart) {
   second->server->Shutdown();
   ASSERT_TRUE(second->collector->Finish().ok());
   EXPECT_EQ(first->out.size() + second->out.size(), 2u);
+}
+
+// ---------- accepted-socket options ----------
+
+// Acks are small writes; with Nagle's algorithm on, an ack written while
+// the previous one is unacknowledged waits for the device's next frame.
+TEST_F(NetFixture, AcceptedSocketsDisableNagle) {
+  auto listener = TcpListen(ListenOptions{});
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto client = TcpConnect("127.0.0.1", *LocalPort(*listener));
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  StatusOr<Socket> accepted = Socket();
+  bool would_block = true;
+  ASSERT_TRUE(WaitFor([&] {
+    accepted = AcceptNonBlocking(*listener, &would_block);
+    return !accepted.ok() || !would_block;
+  }));
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted->fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
 }
 
 // ---------- the FrameSource seam over a live socket ----------

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <vector>
 
 #include "core/ngram.h"
 #include "core/ngram_domain.h"
@@ -237,17 +241,32 @@ TEST_F(NgramFixture, CacheRespectsDistinctEpsilonKeys) {
   EXPECT_EQ(cleared.suffix_rows, 0u);
 }
 
+// `count` budgets whose unigram weight-row keys for region `r` all land
+// in one cache stripe, so that stripe's exact LRU order is observable.
+std::vector<double> EpsilonsInOneStripe(const NgramDomain& domain,
+                                        region::RegionId r, size_t count) {
+  std::vector<std::vector<double>> by_stripe(NgramDomain::kCacheStripes);
+  for (int i = 1;; ++i) {
+    const double epsilon = 0.25 * i;
+    // The scale SampleInto keys a unigram draw's row by.
+    const double scale = epsilon / (2.0 * domain.Sensitivity(1));
+    const cache_internal::RowKey key{r, std::bit_cast<uint64_t>(scale)};
+    auto& group = by_stripe[cache_internal::StripeIndex(
+        key, NgramDomain::kCacheStripes)];
+    group.push_back(epsilon);
+    if (group.size() == count) return group;
+  }
+}
+
 // The ROADMAP "cache eviction policy" item: when every user brings their
 // own ε (so every distinct ε′ mints new cache keys), a capped domain
 // must stay bounded — and capping, like disabling, must never change a
-// draw.
+// draw. The cap is split across stripes, so the bound is
+// max(capacity, kCacheStripes) rows per cache.
 TEST_F(NgramFixture, LruCapKeepsPerUserEpsilonWorkloadBounded) {
   constexpr size_t kCapacity = 6;
+  const size_t bound = std::max(kCapacity, NgramDomain::kCacheStripes);
   NgramDomain capped(graph_.get(), distance_.get());
-  // The exact global cap only holds in the single-stripe mode; kSharded
-  // splits the budget per stripe (bound max(capacity, kCacheStripes),
-  // covered in cache_modes_test.cc).
-  capped.set_cache_mode(NgramDomain::CacheMode::kShared);
   capped.set_cache_capacity(kCapacity);
   EXPECT_EQ(capped.cache_capacity(), kCapacity);
   NgramDomain unbounded(graph_.get(), distance_.get());
@@ -256,8 +275,8 @@ TEST_F(NgramFixture, LruCapKeepsPerUserEpsilonWorkloadBounded) {
   const region::RegionId r1 = *decomp_->Lookup(1, 60);
 
   // 40 users, each with their own ε → 40 distinct (region, scale) keys
-  // per slot region. The capped domain must not grow past the cap while
-  // drawing exactly what the unbounded domain draws.
+  // per slot region. The capped domain must not grow past the bound
+  // while drawing exactly what the unbounded domain draws.
   Rng rng_capped(2026), rng_unbounded(2026);
   for (int user = 0; user < 40; ++user) {
     const double epsilon = 0.2 + 0.1 * user;  // per-user budget
@@ -268,56 +287,62 @@ TEST_F(NgramFixture, LruCapKeepsPerUserEpsilonWorkloadBounded) {
     EXPECT_EQ(*a, *b) << "user " << user;
 
     const auto stats = capped.cache_stats();
-    EXPECT_LE(stats.weight_rows, kCapacity) << "user " << user;
-    EXPECT_LE(stats.suffix_rows, kCapacity) << "user " << user;
+    EXPECT_LE(stats.weight_rows, bound) << "user " << user;
+    EXPECT_LE(stats.suffix_rows, bound) << "user " << user;
   }
 
   const auto capped_stats = capped.cache_stats();
   const auto unbounded_stats = unbounded.cache_stats();
   EXPECT_GT(capped_stats.weight_evictions, 0u);
+  EXPECT_GT(capped_stats.suffix_evictions, 0u);
   EXPECT_EQ(unbounded_stats.weight_evictions, 0u);
   EXPECT_EQ(unbounded_stats.weight_rows, 80u);  // 2 regions × 40 scales
 }
 
 TEST_F(NgramFixture, LruEvictsLeastRecentlyUsedKey) {
   NgramDomain domain(graph_.get(), distance_.get());
-  // Exact-LRU victim selection is a global property — pin the
-  // single-stripe mode so all keys share one LRU order.
-  domain.set_cache_mode(NgramDomain::CacheMode::kShared);
-  domain.set_cache_capacity(2);
+  // Two rows per stripe; LRU is exact within a stripe, so three keys of
+  // one stripe expose the victim order.
+  domain.set_cache_capacity(2 * NgramDomain::kCacheStripes);
   const region::RegionId r0 = *decomp_->Lookup(0, 54);
+  const std::vector<double> eps = EpsilonsInOneStripe(domain, r0, 3);
 
   Rng rng(5);
-  // Two unigram draws at distinct ε fill the cache; touching the first
+  // Two unigram draws at distinct ε fill the stripe; touching the first
   // key again makes the second the LRU victim when a third arrives.
-  ASSERT_TRUE(domain.Sample({r0}, 1.0, rng).ok());
-  ASSERT_TRUE(domain.Sample({r0}, 2.0, rng).ok());
-  ASSERT_TRUE(domain.Sample({r0}, 1.0, rng).ok());  // refresh key ε=1
-  ASSERT_TRUE(domain.Sample({r0}, 3.0, rng).ok());  // evicts key ε=2
+  ASSERT_TRUE(domain.Sample({r0}, eps[0], rng).ok());
+  ASSERT_TRUE(domain.Sample({r0}, eps[1], rng).ok());
+  ASSERT_TRUE(domain.Sample({r0}, eps[0], rng).ok());  // refresh eps[0]
+  ASSERT_TRUE(domain.Sample({r0}, eps[2], rng).ok());  // evicts eps[1]
   const auto after = domain.cache_stats();
   EXPECT_EQ(after.weight_rows, 2u);
   EXPECT_EQ(after.weight_evictions, 1u);
 
-  // ε=1 must still be cached (a hit, no new miss); ε=2 must re-miss.
-  ASSERT_TRUE(domain.Sample({r0}, 1.0, rng).ok());
+  // eps[0] must still be cached (a hit, no new miss); eps[1] must
+  // re-miss.
+  ASSERT_TRUE(domain.Sample({r0}, eps[0], rng).ok());
   EXPECT_EQ(domain.cache_stats().weight_misses, after.weight_misses);
-  ASSERT_TRUE(domain.Sample({r0}, 2.0, rng).ok());
+  ASSERT_TRUE(domain.Sample({r0}, eps[1], rng).ok());
   EXPECT_EQ(domain.cache_stats().weight_misses, after.weight_misses + 1);
 }
 
 TEST_F(NgramFixture, ShrinkingCapacityEvictsImmediately) {
   NgramDomain domain(graph_.get(), distance_.get());
-  // Pin kShared: "exactly 1 row survives" assumes one global LRU.
-  domain.set_cache_mode(NgramDomain::CacheMode::kShared);
   const region::RegionId r0 = *decomp_->Lookup(0, 54);
+  // Four keys of one stripe: a cap of 1 leaves that stripe one row.
+  const std::vector<double> eps = EpsilonsInOneStripe(domain, r0, 4);
   Rng rng(6);
-  for (const double epsilon : {1.0, 2.0, 3.0, 4.0}) {
+  for (const double epsilon : eps) {
     ASSERT_TRUE(domain.Sample({r0}, epsilon, rng).ok());
   }
   ASSERT_EQ(domain.cache_stats().weight_rows, 4u);
   domain.set_cache_capacity(1);
-  EXPECT_EQ(domain.cache_stats().weight_rows, 1u);
-  EXPECT_EQ(domain.cache_stats().weight_evictions, 3u);
+  const auto shrunk = domain.cache_stats();
+  EXPECT_EQ(shrunk.weight_rows, 1u);
+  EXPECT_EQ(shrunk.weight_evictions, 3u);
+  // The survivor is the most recently used key.
+  ASSERT_TRUE(domain.Sample({r0}, eps.back(), rng).ok());
+  EXPECT_EQ(domain.cache_stats().weight_misses, shrunk.weight_misses);
 }
 
 TEST_F(NgramFixture, SensitivityScalesWithN) {

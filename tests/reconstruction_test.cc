@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "common/rng.h"
 #include "core/lp_reconstructor.h"
@@ -324,11 +325,17 @@ INSTANTIATE_TEST_SUITE_P(RandomWorlds, SolverEquivalenceSweep,
 
 TEST_F(ReconstructionFixture, ResetReusesBuffersAcrossProblems) {
   // One problem object re-initialised per user must behave exactly like a
-  // freshly created one — this is the invariant the per-thread pipeline
-  // workspaces rely on.
+  // freshly created one, and one solver workspace reused across users
+  // must leak no state between them — the invariants the per-thread
+  // pipeline workspaces rely on. The LP workspace (bigram list, LP,
+  // simplex tableau) is the scratch most likely to leak, so both solvers
+  // run; the varying lengths reshape it from user to user.
   ReconstructionProblem reused;
   ViterbiReconstructor viterbi;
-  auto ws = viterbi.NewWorkspace();
+  LpReconstructor lp;
+  const Reconstructor* solvers[] = {&viterbi, &lp};
+  std::unique_ptr<Reconstructor::Workspace> workspaces[] = {
+      viterbi.NewWorkspace(), lp.NewWorkspace()};
   for (uint64_t seed : {81, 82, 83, 84}) {
     const size_t len = 2 + static_cast<size_t>(seed % 3);
     const auto z = RandomZ(len, seed);
@@ -345,12 +352,16 @@ TEST_F(ReconstructionFixture, ResetReusesBuffersAcrossProblems) {
         ASSERT_DOUBLE_EQ(reused.NodeError(i, c), fresh->NodeError(i, c));
       }
     }
-    region::RegionTrajectory via_workspace;
-    ASSERT_TRUE(
-        viterbi.ReconstructInto(reused, *ws, via_workspace).ok());
-    auto via_fresh = viterbi.Reconstruct(*fresh);
-    ASSERT_TRUE(via_fresh.ok());
-    EXPECT_EQ(via_workspace, *via_fresh) << "seed " << seed;
+    for (size_t k = 0; k < 2; ++k) {
+      region::RegionTrajectory via_workspace;
+      ASSERT_TRUE(
+          solvers[k]->ReconstructInto(reused, *workspaces[k], via_workspace)
+              .ok());
+      auto via_fresh = solvers[k]->Reconstruct(*fresh);
+      ASSERT_TRUE(via_fresh.ok());
+      EXPECT_EQ(via_workspace, *via_fresh)
+          << (k == 0 ? "viterbi" : "lp") << " seed " << seed;
+    }
   }
 }
 
