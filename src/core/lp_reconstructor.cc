@@ -1,5 +1,6 @@
 #include "core/lp_reconstructor.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -33,20 +34,43 @@ Status LpReconstructor::ReconstructInto(const ReconstructionProblem& problem,
     return Status::Ok();
   }
 
-  // Enumerate feasible candidate bigrams (the W² restriction of x_i^w).
+  // Count the feasible candidate bigrams (the W² restriction of x_i^w)
+  // and the candidates they touch, which fixes the LP's size before any
+  // of it is built: one variable per (layer, bigram), one supply row,
+  // and one conservation row per touched candidate between consecutive
+  // layers, all equalities.
+  size_t num_bigrams = 0;
+  size_t touched = 0;
+  {
+    std::vector<char> touches(num_cand, 0);
+    for (size_t c1 = 0; c1 < num_cand; ++c1) {
+      for (size_t c2 = 0; c2 < num_cand; ++c2) {
+        if (problem.Feasible(c1, c2)) {
+          ++num_bigrams;
+          touches[c1] = 1;
+          touches[c2] = 1;
+        }
+      }
+    }
+    touched =
+        static_cast<size_t>(std::count(touches.begin(), touches.end(), 1));
+  }
+  if (num_bigrams == 0) {
+    return Status::FailedPrecondition(
+        "no feasible candidate bigram exists for the LP reconstruction");
+  }
+  const size_t layers = len - 1;
+  TRAJLDP_RETURN_NOT_OK(lp::SimplexSolver::CheckTableauSize(
+      layers * num_bigrams, 0, 1 + (layers - 1) * touched));
+
   std::vector<std::pair<size_t, size_t>>& bigrams = w->bigrams;
   bigrams.clear();
+  bigrams.reserve(num_bigrams);
   for (size_t c1 = 0; c1 < num_cand; ++c1) {
     for (size_t c2 = 0; c2 < num_cand; ++c2) {
       if (problem.Feasible(c1, c2)) bigrams.emplace_back(c1, c2);
     }
   }
-  if (bigrams.empty()) {
-    return Status::FailedPrecondition(
-        "no feasible candidate bigram exists for the LP reconstruction");
-  }
-  const size_t num_bigrams = bigrams.size();
-  const size_t layers = len - 1;
 
   lp::LpProblem& lp = w->lp;
   lp.constraints.clear();

@@ -10,6 +10,17 @@ namespace trajldp::core {
 
 using region::RegionId;
 
+namespace {
+
+// One finite dp entry of the current layer, as the sorted scan ranks it.
+struct RankedEntry {
+  double cost;
+  int32_t index;   // candidate index
+  RegionId region;  // candidates[index], for the predecessor-bit test
+};
+
+}  // namespace
+
 std::unique_ptr<Reconstructor::Workspace> ViterbiReconstructor::NewWorkspace()
     const {
   return std::make_unique<ViterbiWorkspace>();
@@ -39,20 +50,13 @@ Status ViterbiReconstructor::ReconstructInto(
     return Status::Ok();
   }
 
-  // SoA scratch, one line-aligned arena carve per array. in_adj is sized
-  // by the candidates' total out-degree — a cheap upper bound on the
-  // candidate-restricted edge count that avoids a third adjacency pass.
-  const size_t num_regions = problem.graph().num_regions();
-  size_t max_edges = 0;
-  for (size_t u = 0; u < num_cand; ++u) {
-    max_edges += problem.graph().Neighbors(candidates[u]).size();
-  }
+  // SoA scratch, one line-aligned arena carve per array.
+  const region::RegionGraph& graph = problem.graph();
+  const size_t num_regions = graph.num_regions();
   w->arena.Reset(AlignedArena::BytesFor<int32_t>(num_regions) +
                  2 * AlignedArena::BytesFor<double>(num_cand) +
                  AlignedArena::BytesFor<int32_t>(len * num_cand) +
-                 AlignedArena::BytesFor<uint32_t>(num_cand + 1) +
-                 AlignedArena::BytesFor<uint32_t>(num_cand) +
-                 AlignedArena::BytesFor<int32_t>(max_edges));
+                 AlignedArena::BytesFor<RankedEntry>(num_cand));
   // cand_index[region] = candidate index, or −1 when not a candidate.
   int32_t* cand_index = w->arena.Carve<int32_t>(num_regions);
   // dp[c] / next[c]: cheapest feasible prefix cost ending at candidate c.
@@ -62,40 +66,11 @@ Status ViterbiReconstructor::ReconstructInto(
   // the backtrack can read (rows 1..len−1) is written unconditionally in
   // the layer loop below.
   int32_t* parent = w->arena.Carve<int32_t>(len * num_cand);
-  uint32_t* in_offsets = w->arena.Carve<uint32_t>(num_cand + 1);
-  uint32_t* in_cursor = w->arena.Carve<uint32_t>(num_cand);
-  int32_t* in_adj = w->arena.Carve<int32_t>(max_edges);
+  RankedEntry* ranked = w->arena.Carve<RankedEntry>(num_cand);
 
-  // Map region id → candidate index for adjacency-driven transitions.
   std::fill_n(cand_index, num_regions, int32_t{-1});
   for (size_t c = 0; c < num_cand; ++c) {
     cand_index[candidates[c]] = static_cast<int32_t>(c);
-  }
-
-  // Candidate-restricted in-adjacency in CSR form, built once and reused
-  // by every layer: in_adj slice c lists the candidate indices u with a
-  // feasible bigram candidates[u] → candidates[c], ascending — two
-  // counting/fill passes over the candidates' out-edges. The u-ascending
-  // fill order is what makes the pull relaxation below pick the same
-  // (lowest-index) parent the push formulation would.
-  std::fill_n(in_offsets, num_cand + 1, uint32_t{0});
-  for (size_t u = 0; u < num_cand; ++u) {
-    for (RegionId nb : problem.graph().Neighbors(candidates[u])) {
-      const int32_t c = cand_index[nb];
-      if (c >= 0) ++in_offsets[static_cast<size_t>(c) + 1];
-    }
-  }
-  for (size_t c = 0; c < num_cand; ++c) {
-    in_offsets[c + 1] += in_offsets[c];
-  }
-  std::copy_n(in_offsets, num_cand, in_cursor);
-  for (size_t u = 0; u < num_cand; ++u) {
-    for (RegionId nb : problem.graph().Neighbors(candidates[u])) {
-      const int32_t c = cand_index[nb];
-      if (c >= 0) {
-        in_adj[in_cursor[static_cast<size_t>(c)]++] = static_cast<int32_t>(u);
-      }
-    }
   }
 
   // dp[c] = cheapest cost of a feasible prefix ending at candidate c,
@@ -112,20 +87,47 @@ Status ViterbiReconstructor::ReconstructInto(
     int32_t* parent_row = parent + i * num_cand;
     const double mult = problem.Multiplicity(i);
     const double* err = problem.NodeErrorRow(i);
-    // Pull relaxation over exactly the feasible bigrams (the W²
-    // constraint): the node cost is a per-target constant, so the best
-    // predecessor is simply argmin dp over the in-neighbours — one
-    // compare per edge instead of a multiply-add per edge. The CSR walk
-    // streams in_adj contiguously; dp gathers are the only scattered
-    // reads, and dp is one dense line-aligned row.
+    // The node cost is a per-target constant, so the best predecessor of
+    // a target is the argmin of dp over its feasible predecessors (the
+    // W² constraint), lowest candidate index among equal costs. Ranking
+    // the finite dp entries by (dp, index) once per layer turns that
+    // argmin into "the first feasible entry in rank order".
+    size_t num_ranked = 0;
+    for (size_t u = 0; u < num_cand; ++u) {
+      if (dp[u] < kInf) {
+        ranked[num_ranked++] = {dp[u], static_cast<int32_t>(u),
+                                candidates[u]};
+      }
+    }
+    std::sort(ranked, ranked + num_ranked,
+              [](const RankedEntry& a, const RankedEntry& b) {
+                return a.cost < b.cost ||
+                       (a.cost == b.cost && a.index < b.index);
+              });
     for (size_t c = 0; c < num_cand; ++c) {
+      const RegionId to = candidates[c];
       double best = kInf;
       int32_t arg = -1;
-      for (size_t k = in_offsets[c]; k < in_offsets[c + 1]; ++k) {
-        const int32_t u = in_adj[k];
-        if (dp[static_cast<size_t>(u)] < best) {
-          best = dp[static_cast<size_t>(u)];
-          arg = u;
+      if (graph.HasPredecessorList(to)) {
+        // Few predecessors: scan them directly. The list ascends in
+        // region id and candidates ascend in region id, so the strict
+        // compare keeps the lowest candidate index among equal costs.
+        for (RegionId from : graph.Predecessors(to)) {
+          const int32_t u = cand_index[from];
+          if (u >= 0 && dp[static_cast<size_t>(u)] < best) {
+            best = dp[static_cast<size_t>(u)];
+            arg = u;
+          }
+        }
+      } else {
+        const uint64_t* pred = graph.PredecessorBits(to);
+        for (size_t k = 0; k < num_ranked; ++k) {
+          const RegionId from = ranked[k].region;
+          if ((pred[from >> 6] >> (from & 63)) & 1u) {
+            best = ranked[k].cost;
+            arg = ranked[k].index;
+            break;
+          }
         }
       }
       if (arg < 0) {

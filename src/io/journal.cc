@@ -314,10 +314,13 @@ Status FrameJournal::Sync() {
   if (fd_ < 0) {
     return Status::FailedPrecondition("journal is not open");
   }
+  const auto start = std::chrono::steady_clock::now();
   if (::fsync(fd_) != 0) return Errno("journal fsync failed");
   unsynced_bytes_ = 0;
   ++syncs_;
   last_sync_ = std::chrono::steady_clock::now();
+  last_sync_seconds_ =
+      std::chrono::duration<double>(last_sync_ - start).count();
   return Status::Ok();
 }
 

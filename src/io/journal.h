@@ -155,6 +155,12 @@ class FrameJournal {
   /// Close(), and compaction rewrites). The telemetry layer exports
   /// this as `trajldp_journal_fsyncs` without io depending on obs.
   size_t syncs() const { return syncs_; }
+  /// Latency in seconds of the last Sync() fsync (policy-driven, explicit
+  /// or Close()); 0 before the first. A caller that sees syncs() advance
+  /// across an Append() or Sync() reads that fsync's latency here, which
+  /// is how the telemetry layer observes every fsync without io
+  /// depending on obs.
+  double last_sync_seconds() const { return last_sync_seconds_; }
   const std::string& path() const { return path_; }
 
  private:
@@ -169,6 +175,7 @@ class FrameJournal {
   size_t compactions_ = 0;
   size_t syncs_ = 0;
   std::chrono::steady_clock::time_point last_sync_{};
+  double last_sync_seconds_ = 0.0;
 };
 
 }  // namespace trajldp::io

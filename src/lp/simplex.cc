@@ -83,6 +83,24 @@ Status Iterate(Tableau& tab, const SimplexSolver::Options& options,
 
 }  // namespace
 
+Status SimplexSolver::CheckTableauSize(size_t num_vars, size_t num_slack,
+                                       size_t num_constraints) {
+  // The variable and row counts are each checked against the cap first,
+  // so the column sum cannot overflow and the product is tested by
+  // division. num_slack never exceeds the row count.
+  constexpr size_t kCap = kMaxTableauCells;
+  const size_t n = num_vars;
+  const size_t m = num_constraints;
+  if (n >= kCap || m >= kCap || num_slack > m ||
+      n + num_slack + m + 1 > kCap / (m + 1)) {
+    return Status::ResourceExhausted(
+        "simplex tableau for " + std::to_string(n) + " variables and " +
+        std::to_string(m) + " constraints exceeds " + std::to_string(kCap) +
+        " cells");
+  }
+  return Status::Ok();
+}
+
 StatusOr<LpSolution> SimplexSolver::Solve(const LpProblem& problem) const {
   SimplexWorkspace ws;
   LpSolution solution;
@@ -101,17 +119,8 @@ Status SimplexSolver::Solve(const LpProblem& problem, SimplexWorkspace& ws,
   for (const auto& con : problem.constraints) {
     if (con.relation != LpProblem::Relation::kEq) ++num_slack;
   }
-  // Refuse an oversized tableau before allocating it. n and m are each
-  // checked against the cap first, so the column sum cannot overflow and
-  // the product is tested by division.
-  constexpr size_t kCap = kMaxTableauCells;
-  if (n >= kCap || m >= kCap ||
-      n + num_slack + m + 1 > kCap / (m + 1)) {
-    return Status::ResourceExhausted(
-        "simplex tableau for " + std::to_string(n) + " variables and " +
-        std::to_string(m) + " constraints exceeds " + std::to_string(kCap) +
-        " cells");
-  }
+  // Refuse an oversized tableau before allocating it.
+  TRAJLDP_RETURN_NOT_OK(CheckTableauSize(n, num_slack, m));
   // One artificial per row keeps the construction simple; unnecessary ones
   // (rows where a slack can serve as the initial basis) are skipped below.
   Tableau tab{ws.tableau, ws.basis};

@@ -47,6 +47,14 @@ class SimplexSolver {
   /// (~1600 regions) would ask for tens of GiB.
   static constexpr size_t kMaxTableauCells = size_t{1} << 26;
 
+  /// ResourceExhausted when a problem of `num_vars` structural variables,
+  /// `num_slack` slack/surplus columns and `num_constraints` rows would
+  /// need a tableau over kMaxTableauCells; Ok otherwise. Solve runs this
+  /// check first; callers that assemble large LPs run it before paying
+  /// for the assembly.
+  static Status CheckTableauSize(size_t num_vars, size_t num_slack,
+                                 size_t num_constraints);
+
   SimplexSolver() : options_() {}
   explicit SimplexSolver(Options options) : options_(options) {}
 

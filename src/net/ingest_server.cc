@@ -132,8 +132,8 @@ void IngestServer::RegisterMetrics() {
         obs::DefaultLatencyBounds(), labels);
     journal_sync_seconds_ = registry_->GetHistogram(
         "trajldp_journal_sync_seconds",
-        "Latency of an idle-tail journal fsync", obs::DefaultLatencyBounds(),
-        labels);
+        "Latency of one journal fsync (per-policy at append, or idle-tail)",
+        obs::DefaultLatencyBounds(), labels);
   }
   // Journal state is mutex-guarded, not atomic, so it is exported by a
   // scrape-time hook instead of a continuously-updated gauge. The hook
@@ -543,12 +543,16 @@ Status IngestServer::JournalAppend(uint64_t stream_id, uint64_t seq,
   if (journal_append_seconds_ != nullptr) {
     append_start = std::chrono::steady_clock::now();
   }
+  const size_t syncs_before = journal_->syncs();
   TRAJLDP_RETURN_NOT_OK(journal_->Append(stream_id, seq, frame));
   if (journal_append_seconds_ != nullptr) {
     journal_append_seconds_->Observe(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       append_start)
             .count());
+  }
+  if (journal_sync_seconds_ != nullptr && journal_->syncs() != syncs_before) {
+    journal_sync_seconds_->Observe(journal_->last_sync_seconds());
   }
   frames_journaled_->Add(1);
 
@@ -669,16 +673,9 @@ void IngestServer::OnFlushTimer() {
   std::lock_guard<std::mutex> lock(journal_mu_);
   flush_armed_ = false;
   if (journal_.has_value() && journal_->unsynced_bytes() > 0) {
-    std::chrono::steady_clock::time_point sync_start{};
-    if (journal_sync_seconds_ != nullptr) {
-      sync_start = std::chrono::steady_clock::now();
-    }
     Status s = journal_->Sync();
     if (s.ok() && journal_sync_seconds_ != nullptr) {
-      journal_sync_seconds_->Observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        sync_start)
-              .count());
+      journal_sync_seconds_->Observe(journal_->last_sync_seconds());
     }
     if (!s.ok()) {
       // No connection owns a background sync; surface it on the same

@@ -575,6 +575,38 @@ TEST_F(ExactlyOnceFixture, TimedPolicyFlushesIdleTailWithoutFurtherAppends) {
   ASSERT_TRUE(shard->collector->Finish().ok());
 }
 
+TEST_F(ExactlyOnceFixture, SyncHistogramObservesEveryPerRecordFsync) {
+  // Under the default kEveryRecord policy every journaled frame ends in
+  // its own fsync, and trajldp_journal_sync_seconds must observe each.
+  const uint64_t seed = 77;
+  const auto users = MakeUsers(10, 25);
+  const auto reports = MakeReports(users, seed);
+  auto shard = StartJournaledShard(seed, JournalPath("sync_histogram"));
+  ASSERT_NE(shard, nullptr);
+
+  ReportClient client("127.0.0.1", shard->server->port(),
+                      SequencedOptions(1));
+  SendInBatches(client, reports, 3);
+  ASSERT_TRUE(client.Flush().ok());
+  client.Close();
+  ASSERT_TRUE(WaitFor(
+      [&] { return shard->server->stats().frames_journaled == 4u; }));
+
+  const obs::RegistrySnapshot snapshot = shard->server->metrics()->Snapshot();
+  const obs::MetricSnapshot* syncs =
+      snapshot.Find("trajldp_journal_sync_seconds");
+  const obs::MetricSnapshot* appended =
+      snapshot.Find("trajldp_journal_frames_appended_total");
+  ASSERT_NE(syncs, nullptr);
+  ASSERT_NE(appended, nullptr);
+  EXPECT_EQ(appended->value, 4.0);
+  EXPECT_EQ(syncs->count, 4u);
+  EXPECT_GT(syncs->sum, 0.0);
+
+  shard->server->Shutdown();
+  ASSERT_TRUE(shard->collector->Finish().ok());
+}
+
 TEST_F(ExactlyOnceFixture, CompactionShrinksJournalAndRestartStaysBitIdentical) {
   // End-to-end over the compaction feedback loop: releases flow through
   // on_frame_processed into ReleaseWatermarks, the server compacts on a

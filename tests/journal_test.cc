@@ -216,6 +216,26 @@ TEST(JournalTest, SyncPoliciesAllPersist) {
   }
 }
 
+TEST(JournalTest, EveryRecordPolicyTimesOneFsyncPerAppend) {
+  const std::string path = TempPath("journal_sync_latency.log");
+  fs::remove(path);
+  auto journal = FrameJournal::Open(path, {});
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  EXPECT_EQ(journal->syncs(), 0u);
+  EXPECT_EQ(journal->last_sync_seconds(), 0.0);
+  size_t appended = 0;
+  for (const Record& record : ThreeRecords()) {
+    ASSERT_TRUE(
+        journal->Append(record.stream_id, record.seq, record.payload).ok());
+    ++appended;
+    // The default kEveryRecord policy ends every append in its own
+    // fsync, and that fsync's latency is readable right after.
+    EXPECT_EQ(journal->syncs(), appended);
+    EXPECT_GT(journal->last_sync_seconds(), 0.0);
+  }
+  ASSERT_TRUE(journal->Close().ok());
+}
+
 // ---------- compaction ----------
 
 TEST(JournalCompactTest, DropsThroughWatermarkWritesMarkerKeepsLiveSuffix) {

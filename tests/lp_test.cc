@@ -3,9 +3,15 @@
 #include <cmath>
 #include <cstddef>
 
+#include "core/lp_reconstructor.h"
+#include "core/reconstruction.h"
 #include "lp/dense_matrix.h"
 #include "lp/lp_problem.h"
 #include "lp/simplex.h"
+#include "region/decomposition.h"
+#include "region/region_distance.h"
+#include "region/region_graph.h"
+#include "test_world.h"
 
 namespace trajldp::lp {
 namespace {
@@ -234,3 +240,63 @@ TEST(SimplexTest, RefusesOversizedTableauBeforeAllocating) {
 
 }  // namespace
 }  // namespace trajldp::lp
+
+namespace trajldp::core {
+namespace {
+
+TEST(LpReconstructorTest, RefusesCitySizedCandidateSetBeforeBuildingTheLp) {
+  // A 20 × 20 lattice cut into 16 cells × 4 categories × 24 hours, with
+  // no speed limit: over a thousand regions and a dense feasibility
+  // graph, the size of the city's MBR candidate sets. Its flow LP would
+  // need millions of variables.
+  trajldp::testing::GridWorldOptions grid;
+  grid.rows = 20;
+  grid.cols = 20;
+  grid.spacing_km = 0.5;
+  auto db = trajldp::testing::MakeGridWorld(grid);
+  ASSERT_TRUE(db.ok());
+  const model::TimeDomain time = *model::TimeDomain::Create(10);
+  region::DecompositionConfig config;
+  config.grid_size = 4;
+  config.coarse_grids = {1};
+  config.base_interval_minutes = 60;
+  config.merge.kappa = 1;
+  auto decomp = region::StcDecomposition::Build(&*db, time, config);
+  ASSERT_TRUE(decomp.ok()) << decomp.status();
+  ASSERT_GT(decomp->num_regions(), 1000u);
+  const region::RegionDistance distance(&*decomp);
+  const auto graph = region::RegionGraph::Build(
+      *decomp, model::ReachabilityConfig::Unconstrained());
+  std::vector<region::RegionId> all(decomp->num_regions());
+  for (size_t r = 0; r < all.size(); ++r) {
+    all[r] = static_cast<region::RegionId>(r);
+  }
+  const PerturbedNgramSet z = {PerturbedNgram{1, 2, {all[0], all[1]}},
+                               PerturbedNgram{2, 3, {all[1], all[2]}}};
+  auto problem = ReconstructionProblem::Create(&distance, &graph, 3, z, all);
+  ASSERT_TRUE(problem.ok()) << problem.status();
+
+  LpReconstructor lp;
+  auto ws = lp.NewWorkspace();
+  region::RegionTrajectory out;
+  const Status status = lp.ReconstructInto(*problem, *ws, out);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
+  // Refused from the counts alone: no bigram list, variable, objective
+  // coefficient, constraint or tableau was built.
+  const auto& w = dynamic_cast<const LpReconstructorWorkspace&>(*ws);
+  EXPECT_TRUE(w.bigrams.empty());
+  EXPECT_EQ(w.lp.num_vars, 0u);
+  EXPECT_TRUE(w.lp.objective.empty());
+  EXPECT_TRUE(w.lp.constraints.empty());
+  EXPECT_EQ(w.simplex.tableau.rows(), 0u);
+}
+
+TEST(LpReconstructorTest, TableauSizeCheckMatchesTheSolversOwn) {
+  // 9001 × 9002 cells is over the cap; 8000 × 8001 is under it.
+  EXPECT_EQ(lp::SimplexSolver::CheckTableauSize(1, 0, 9000).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_TRUE(lp::SimplexSolver::CheckTableauSize(1, 0, 7999).ok());
+}
+
+}  // namespace
+}  // namespace trajldp::core

@@ -6,10 +6,13 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "core/collector_pipeline.h"
 #include "core/lp_reconstructor.h"
+#include "core/mechanism.h"
 #include "core/ngram_perturber.h"
 #include "core/reconstruction.h"
 #include "core/viterbi_reconstructor.h"
+#include "reconstruction_oracles.h"
 #include "region/region_index.h"
 #include "test_world.h"
 
@@ -437,35 +440,114 @@ TEST_F(ReconstructionFixture, CreateValidatesInputs) {
 }
 
 TEST_F(ReconstructionFixture, InfeasibleCandidateSetReported) {
-  const auto z = RandomZ(2, 71);
-  // Find two regions with no edge either way, if any exist.
-  region::RegionId a = region::kInvalidRegion, b = region::kInvalidRegion;
-  for (region::RegionId x = 0;
-       x < decomp_->num_regions() && a == region::kInvalidRegion; ++x) {
-    for (region::RegionId y = 0; y < decomp_->num_regions(); ++y) {
-      if (x != y && !graph_->HasEdge(x, y) && !graph_->HasEdge(y, x) &&
-          !graph_->HasEdge(x, x) && !graph_->HasEdge(y, y)) {
-        a = x;
-        b = y;
-        break;
-      }
-    }
-  }
-  if (a == region::kInvalidRegion) {
-    GTEST_SKIP() << "graph too dense to craft an infeasible candidate set";
-  }
-  std::vector<region::RegionId> candidates = {std::min(a, b),
-                                              std::max(a, b)};
-  auto problem = ReconstructionProblem::Create(distance_.get(), graph_.get(),
-                                               2, z, candidates);
-  ASSERT_TRUE(problem.ok());
+  // One-timestep intervals (g_t = base interval = 60 minutes): no region
+  // admits two visits in time order, so no region has a self-loop, and
+  // an edge runs only from an earlier interval to a later one.
+  const model::TimeDomain hourly = *model::TimeDomain::Create(60);
+  region::DecompositionConfig config;
+  config.grid_size = 2;
+  config.coarse_grids = {1};
+  config.base_interval_minutes = 60;
+  config.merge.kappa = 1;
+  auto decomp = region::StcDecomposition::Build(db_.get(), hourly, config);
+  ASSERT_TRUE(decomp.ok()) << decomp.status();
+  const region::RegionDistance distance(&*decomp);
+  model::ReachabilityConfig reach;
+  reach.speed_kmh = 8.0;
+  reach.reference_gap_minutes = 60;
+  const auto graph = region::RegionGraph::Build(*decomp, reach);
+
+  // POI 0 at 09:00 and at 10:00: the same POI set one interval apart.
+  const region::RegionId nine = *decomp->Lookup(0, 9);
+  const region::RegionId ten = *decomp->Lookup(0, 10);
+  ASSERT_FALSE(graph.HasEdge(nine, nine));
+  ASSERT_FALSE(graph.HasEdge(ten, ten));
+  ASSERT_TRUE(graph.HasEdge(nine, ten));
+  ASSERT_FALSE(graph.HasEdge(ten, nine));
+
   ViterbiReconstructor viterbi;
-  auto result = viterbi.Reconstruct(*problem);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   LpReconstructor lp;
-  auto lp_result = lp.Reconstruct(*problem);
-  EXPECT_FALSE(lp_result.ok());
+  auto report = [&](size_t len) {
+    PerturbedNgramSet z = {PerturbedNgram{1, 2, {nine, ten}}};
+    if (len == 3) z.push_back(PerturbedNgram{2, 3, {ten, ten}});
+    return z;
+  };
+  // (a) A single candidate with L ≥ 2: no feasible bigram at all.
+  // (b) Two candidates, one feasible bigram, L = 3: bigrams exist, but no
+  //     path of three regions does, so the LP itself is infeasible.
+  const std::vector<std::pair<std::vector<region::RegionId>, size_t>> cases =
+      {{{nine}, 2}, {{ten}, 3}, {{nine, ten}, 3}};
+  for (const auto& [candidates, len] : cases) {
+    auto problem = ReconstructionProblem::Create(&distance, &graph, len,
+                                                 report(len), candidates);
+    ASSERT_TRUE(problem.ok()) << problem.status();
+    auto result = viterbi.Reconstruct(*problem);
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+        << candidates.size() << " candidate(s), L = " << len;
+    auto lp_result = lp.Reconstruct(*problem);
+    EXPECT_EQ(lp_result.status().code(), StatusCode::kFailedPrecondition)
+        << candidates.size() << " candidate(s), L = " << len << ": "
+        << lp_result.status();
+  }
+  // The same two candidates with L = 2 are feasible, and both solvers
+  // agree on the only path.
+  auto problem =
+      ReconstructionProblem::Create(&distance, &graph, 2, report(2),
+                                    {nine, ten});
+  ASSERT_TRUE(problem.ok());
+  const region::RegionTrajectory only_path = {nine, ten};
+  EXPECT_EQ(*viterbi.Reconstruct(*problem), only_path);
+  EXPECT_EQ(*lp.Reconstruct(*problem), only_path);
+}
+
+TEST(CollectorPipelineRetryTest, MbrInfeasibleRetriesOverAllRegions) {
+  // POI 1 opens 09:00–10:00 only, and every region spans one timestep, so
+  // a report naming only POI 1's 09:00 region has an MBR (a point) whose
+  // only candidate is that region, which has no self-loop. The pipeline
+  // must retry over all regions and match the oracle kernel there.
+  trajldp::testing::GridWorldOptions grid;
+  grid.restrict_odd_hours = true;
+  grid.open_begin_minute = 9 * 60;
+  grid.open_end_minute = 10 * 60;
+  auto db = MakeGridWorld(grid);
+  ASSERT_TRUE(db.ok());
+  NGramConfig config;
+  config.decomposition.grid_size = 4;
+  config.decomposition.coarse_grids = {1};
+  config.decomposition.base_interval_minutes = 60;
+  config.decomposition.merge.kappa = 1;
+  config.reachability.speed_kmh = 2.0;
+  config.reachability.reference_gap_minutes = 60;
+  const model::TimeDomain hourly = *model::TimeDomain::Create(60);
+  auto mech = NGramMechanism::Build(&*db, hourly, config);
+  ASSERT_TRUE(mech.ok()) << mech.status();
+  const region::RegionId lone = *mech->decomposition().Lookup(1, 9);
+  const PerturbedNgramSet z = {PerturbedNgram{1, 2, {lone, lone}}};
+
+  // The MBR problem really is infeasible.
+  const auto mbr = region::MbrCandidateRegions(mech->decomposition(), {lone});
+  ASSERT_EQ(mbr, std::vector<region::RegionId>{lone});
+  auto mbr_problem = ReconstructionProblem::Create(
+      &mech->distance(), &mech->graph(), 2, z, mbr);
+  ASSERT_TRUE(mbr_problem.ok());
+  ASSERT_EQ(trajldp::testing::PullCsrViterbi(*mbr_problem).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  PipelineWorkspace ws;
+  region::RegionTrajectory got;
+  ASSERT_TRUE(mech->pipeline().ReconstructRegionsInto(2, z, ws, got).ok());
+  std::vector<region::RegionId> all(mech->decomposition().num_regions());
+  for (size_t r = 0; r < all.size(); ++r) {
+    all[r] = static_cast<region::RegionId>(r);
+  }
+  auto problem = ReconstructionProblem::Create(&mech->distance(),
+                                               &mech->graph(), 2, z, all);
+  ASSERT_TRUE(problem.ok());
+  const auto expected = trajldp::testing::PullCsrViterbi(*problem);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(got, *expected);
+  // The retry ran over every region, in the pipeline's own workspace.
+  EXPECT_EQ(ws.candidates, all);
 }
 
 }  // namespace
